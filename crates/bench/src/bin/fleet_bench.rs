@@ -20,7 +20,7 @@
 //! ```text
 //! fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV]
 //!             [--event-driven] [--verify-shards] [--tele-summary PATH]
-//!             [--out PATH] [--baseline PATH] [--tol F]
+//!             [--out PATH]
 //! ```
 //!
 //! `--event-driven` times every size twice — fixed-step, then
@@ -30,22 +30,19 @@
 //! same process so runner speed cancels). The two runs must agree on
 //! `ue_ticks` exactly — a divergence fails the job before any gating.
 //!
-//! With `--baseline`, the run first refuses a baseline whose `schema`
-//! string differs from this binary's (a v2 baseline silently gating a v3
-//! report would pair the wrong semantics), then gates each size's
-//! **machine-independent** metrics against the committed report, pairing
-//! rows by their `n_ues` value (`perfgate::fleet_metric`, never by array
-//! position) — `ue_ticks` and `skip_ratio` as bands (both deterministic
-//! for the pinned scenario; skip-ratio drift in either direction means the
-//! wakeup planner changed), `allocs_per_ue_tick` lower-is-better and
-//! `event_speedup` higher-is-better — and exits nonzero past the tolerance
-//! (default 15%); this is the gating CI perf job, which pins `--threads 1`
-//! to match the committed baseline's thread count. UE·ticks/sec is printed
-//! as an advisory comparison only: the baseline's wall clock came from a
-//! different machine than the CI runner's (see `fiveg_bench::perfgate`).
-//! Sizes absent from the baseline are skipped so a new size never fails
-//! the job that introduces it, but if *no* measured size matches, the run
-//! fails — a reformatted baseline must not silently disable the gate.
+//! The gating CI perf job runs `gate BENCH_fleet.json REPORT` on the fresh
+//! report (see `fiveg_bench::perfgate`). It pairs rows by their `n_ues`
+//! value, never by array position, and gates each size's
+//! **machine-independent** metrics: `ue_ticks` and `skip_ratio` as bands
+//! (both deterministic for the pinned scenario; skip-ratio drift in either
+//! direction means the wakeup planner changed), `allocs_per_ue_tick`
+//! lower-is-better and `event_speedup` higher-is-better. The job pins
+//! `--threads 1` to match the committed baseline's thread count. UE·ticks/sec
+//! is printed as an advisory comparison only: the baseline's wall clock came
+//! from a different machine than the CI runner's. Sizes absent from the
+//! baseline are skipped so a new size never fails the job that introduces
+//! it, but if *no* measured size matches, the gate fails — a reformatted
+//! baseline must not silently disable it.
 //!
 //! `--verify-shards` is the other machine-independent gate, now three
 //! checks deep: (1) one migration-heavy fleet run with 1 shard and with 4
@@ -58,20 +55,18 @@
 //! control-plane field and the load summary. Any divergence exits nonzero
 //! before the timing runs start.
 
-use fiveg_bench::perfgate::{self, Better, Gate};
-use fiveg_bench::report::JsonBuf;
 use fiveg_ran::{Arch, Carrier};
 use fiveg_sim::{
     run_fleet_exec_instrumented, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
     TelemetryConfig,
 };
+use fiveg_telemetry::JsonBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The report schema this binary writes and the only one it will gate
-/// against.
+/// The report schema this binary writes.
 const SCHEMA: &str = "fiveg-fleet/v3";
 
 /// Heap-allocation counter: wraps the system allocator and counts every
@@ -108,8 +103,6 @@ struct Args {
     verify_shards: bool,
     tele_summary: Option<String>,
     out: String,
-    baseline: Option<String>,
-    tol: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -122,8 +115,6 @@ fn parse_args() -> Result<Args, String> {
         verify_shards: false,
         tele_summary: None,
         out: "BENCH_fleet.json".into(),
-        baseline: None,
-        tol: 0.15,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -150,18 +141,10 @@ fn parse_args() -> Result<Args, String> {
             "--verify-shards" => args.verify_shards = true,
             "--tele-summary" => args.tele_summary = Some(it.next().ok_or("--tele-summary needs a value")?),
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
-            "--tol" => {
-                let v = it.next().ok_or("--tol needs a value")?;
-                args.tol = v.parse::<f64>().map_err(|_| format!("bad --tol value: {v}"))?;
-                if !(0.0..1.0).contains(&args.tol) {
-                    return Err("--tol must be in [0, 1)".into());
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: fleet_bench [--smoke] [--threads N] [--shards N] [--sizes CSV] [--event-driven] \
-                     [--verify-shards] [--tele-summary PATH] [--out PATH] [--baseline PATH] [--tol F]"
+                     [--verify-shards] [--tele-summary PATH] [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -430,8 +413,6 @@ fn report(mode: &str, threads: usize, shards: usize, results: &[SizeResult]) -> 
             j.uint(ev.sleeps);
             j.key("load_wakes");
             j.uint(ev.load_wakes);
-            // last key in the row: the array holds no '}' so the perfgate
-            // row scanner's scope (up to the row's closing brace) survives
             j.key("wake_hist");
             j.open('[');
             for &b in &ev.wake_hist {
@@ -515,94 +496,5 @@ fn main() -> ExitCode {
         println!("  telemetry summary -> {path}");
     }
 
-    if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("fleet_bench: reading baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // A baseline from a different schema generation must never gate
-        // this report: the rows would pair by n_ues and silently compare
-        // different scenarios or metric semantics. Fail loudly instead.
-        match perfgate::schema_of(&committed) {
-            Some(s) if s == SCHEMA => {}
-            got => {
-                eprintln!(
-                    "fleet_bench: baseline {path} has schema {} but this binary writes {SCHEMA} — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        // Gate the machine-independent metrics per size, pairing rows by
-        // their n_ues value; absolute UE·ticks/sec is advisory (the
-        // baseline's wall clock came from a different machine than this
-        // runner's).
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
-        let mut gates = Vec::new();
-        for r in &results {
-            let ticks = perfgate::fleet_metric(&committed, r.n_ues, "ue_ticks");
-            let allocs = perfgate::fleet_metric(&committed, r.n_ues, "allocs_per_ue_tick");
-            let tps = perfgate::fleet_metric(&committed, r.n_ues, "ue_ticks_per_sec");
-            let (Some(b_ticks), Some(b_allocs)) = (ticks, allocs) else {
-                println!("  fleet[{}]: not in baseline, skipped", r.n_ues);
-                continue;
-            };
-            if let Some(b) = tps {
-                perfgate::advise(&format!("fleet[{}] ue_ticks_per_sec", r.n_ues), b, r.ue_ticks_per_sec);
-            }
-            gates.push(Gate {
-                what: format!("fleet[{}] ue_ticks", r.n_ues),
-                baseline: b_ticks,
-                current: r.ue_ticks as f64,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("fleet[{}] allocs_per_ue_tick", r.n_ues),
-                baseline: b_allocs,
-                current: r.allocs_per_ue_tick,
-                better: Better::Lower,
-            });
-            if let Some(ev) = &r.event {
-                if let Some(b) = perfgate::fleet_metric(&committed, r.n_ues, "event_ue_ticks_per_sec") {
-                    perfgate::advise(&format!("fleet[{}] event UE·ticks/sec", r.n_ues), b, ev.ue_ticks_per_sec);
-                }
-                // skip_ratio is a work count in disguise: deterministic for
-                // the pinned scenario, banded so planner drift in either
-                // direction fails. event_speedup is a same-run ratio, so
-                // runner speed cancels and higher-is-better is gateable.
-                if let Some(b_skip) = perfgate::fleet_metric(&committed, r.n_ues, "skip_ratio") {
-                    gates.push(Gate {
-                        what: format!("fleet[{}] skip_ratio", r.n_ues),
-                        baseline: b_skip,
-                        current: ev.skip_ratio,
-                        better: Better::Band,
-                    });
-                }
-                if let Some(b_spd) = perfgate::fleet_metric(&committed, r.n_ues, "event_speedup") {
-                    gates.push(Gate {
-                        what: format!("fleet[{}] event_speedup", r.n_ues),
-                        baseline: b_spd,
-                        current: ev.speedup,
-                        better: Better::Higher,
-                    });
-                }
-            }
-        }
-        // A skipped size is fine (a new size must not fail the job that
-        // introduces it); *every* size missing means the baseline was
-        // reformatted or the wrong file — refuse to become a silent no-op.
-        if gates.is_empty() {
-            eprintln!("fleet_bench: baseline {path} matched none of the measured sizes — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        }
-        if !perfgate::evaluate(&gates, args.tol) {
-            eprintln!("fleet_bench: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
 }

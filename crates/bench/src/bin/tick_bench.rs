@@ -23,27 +23,26 @@
 //! it drops below [`SKIP_FLOOR`] on any des scenario.
 //!
 //! ```text
-//! tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]
+//! tick_bench [--smoke] [--iters N] [--out PATH]
 //! ```
 //!
 //! Wall-clock numbers are machine-dependent by nature; the committed
 //! `BENCH_tick.json` records the before/after trajectory on the development
-//! machine. With `--baseline`, the run gates the **machine-independent**
-//! metrics against the committed report — the snapshot path's tick count
-//! (band), its allocs/tick (lower is better) and the snapshot-vs-reference
-//! speedup ratio (higher is better) — and exits nonzero past the tolerance
-//! (default 15%); this is the gating CI perf job. Absolute ticks/sec is
-//! printed as an advisory comparison only, because the baseline's wall
+//! machine. The gating CI perf job runs `gate BENCH_tick.json REPORT` on the
+//! fresh report, which gates the **machine-independent** metrics — the
+//! snapshot path's tick count (band), its allocs/tick (lower is better), the
+//! snapshot-vs-reference speedup ratio (higher is better) and each des
+//! scenario's logical ticks and skip ratio (bands) — and prints absolute
+//! ticks/sec as an advisory comparison only, because the baseline's wall
 //! clock came from a different machine than the CI runner's (see
 //! `fiveg_bench::perfgate`).
 
-use fiveg_bench::perfgate::{self, Better, Gate};
-use fiveg_bench::report::JsonBuf;
 use fiveg_ran::{Arch, Carrier};
 use fiveg_sim::{
     engine, run_fleet_exec, EngineMode, FleetExec, FleetSpec, FleetTrace, Scenario, ScenarioBuilder, Telemetry,
     TelemetryConfig, UeSummary,
 };
+use fiveg_telemetry::JsonBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,12 +78,10 @@ struct Args {
     smoke: bool,
     iters: usize,
     out: String,
-    baseline: Option<String>,
-    tol: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args { smoke: false, iters: 3, out: "BENCH_tick.json".into(), baseline: None, tol: 0.15 };
+    let mut args = Args { smoke: false, iters: 3, out: "BENCH_tick.json".into() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -97,16 +94,8 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
-            "--tol" => {
-                let v = it.next().ok_or("--tol needs a value")?;
-                args.tol = v.parse::<f64>().map_err(|_| format!("bad --tol value: {v}"))?;
-                if !(0.0..1.0).contains(&args.tol) {
-                    return Err("--tol must be in [0, 1)".into());
-                }
-            }
             "--help" | "-h" => {
-                println!("usage: tick_bench [--smoke] [--iters N] [--out PATH] [--baseline PATH] [--tol F]");
+                println!("usage: tick_bench [--smoke] [--iters N] [--out PATH]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument: {other}")),
@@ -405,8 +394,6 @@ fn main() -> ExitCode {
         des_results.push(d);
     }
 
-    let (snapshot_tps, snapshot_ticks, snapshot_apt) =
-        (snapshot.ticks_per_sec, snapshot.ticks, snapshot.allocs_per_tick);
     let json = report(mode, args.iters, &set, &[reference, snapshot], speedup, &des_results);
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("tick_bench: writing {}: {e}", args.out);
@@ -414,95 +401,5 @@ fn main() -> ExitCode {
     }
     println!("  report -> {}", args.out);
 
-    // Perf gate: only the snapshot (production) path is gated — the
-    // reference path exists as a correctness referee, not a perf contract.
-    // Gated metrics are the machine-independent ones (work count, allocs,
-    // same-run speedup ratio); absolute ticks/sec is advisory because the
-    // committed baseline's wall clock came from a different machine.
-    if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("tick_bench: reading baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // A baseline from a different schema generation must never gate
-        // this report (see fleet_bench): anchors would pair rows whose
-        // metrics no longer mean the same thing. Fail loudly instead.
-        match perfgate::schema_of(&committed) {
-            Some("fiveg-tick/v2") => {}
-            got => {
-                eprintln!(
-                    "tick_bench: baseline {path} has schema {} but this binary writes fiveg-tick/v2 — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        let snap = |metric: &str| perfgate::metric_after(&committed, r#""path":"snapshot""#, metric);
-        let (Some(b_ticks), Some(b_apt), Some(b_speedup), Some(b_tps)) = (
-            snap("ticks"),
-            snap("allocs_per_tick"),
-            perfgate::metric_anywhere(&committed, "speedup"),
-            snap("ticks_per_sec"),
-        ) else {
-            eprintln!("tick_bench: baseline {path} is missing snapshot metrics — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        };
-        let mut gates = vec![
-            Gate {
-                what: "snapshot ticks".into(),
-                baseline: b_ticks,
-                current: snapshot_ticks as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "snapshot allocs_per_tick".into(),
-                baseline: b_apt,
-                current: snapshot_apt,
-                better: Better::Lower,
-            },
-            Gate {
-                what: "speedup (snapshot/reference)".into(),
-                baseline: b_speedup,
-                current: speedup,
-                better: Better::Higher,
-            },
-        ];
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
-        perfgate::advise("snapshot ticks_per_sec", b_tps, snapshot_tps);
-        // des gates: logical work count and skip ratio are exact and
-        // machine-independent, so both are banded against the baseline;
-        // wall-clock throughput stays advisory like the stepped paths'.
-        for d in &des_results {
-            let needle = format!(r#""des":"{}""#, d.label);
-            let des_metric = |metric: &str| perfgate::metric_after(&committed, &needle, metric);
-            let (Some(b_dticks), Some(b_skip), Some(b_utps)) =
-                (des_metric("ticks"), des_metric("skip_ratio"), des_metric("ue_ticks_per_sec"))
-            else {
-                eprintln!("tick_bench: baseline {path} is missing des metrics for {} — pre-v2 file?", d.label);
-                return ExitCode::FAILURE;
-            };
-            perfgate::advise(&format!("des {} ue_ticks_per_sec", d.label), b_utps, d.ue_ticks_per_sec);
-            gates.push(Gate {
-                what: format!("des {} ticks", d.label),
-                baseline: b_dticks,
-                current: d.ticks as f64,
-                better: Better::Band,
-            });
-            gates.push(Gate {
-                what: format!("des {} skip_ratio", d.label),
-                baseline: b_skip,
-                current: d.skip_ratio,
-                better: Better::Band,
-            });
-        }
-        if !perfgate::evaluate(&gates, args.tol) {
-            eprintln!("tick_bench: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -9,9 +9,9 @@
 //! across thread counts.
 
 use crate::driver::run_prognos;
-use crate::report::JsonBuf;
 use crate::sweep::run_ordered;
 use fiveg_oracle::{run_case, shrink, CaseResult, FuzzCase};
+use fiveg_telemetry::JsonBuf;
 use prognos::PrognosConfig;
 use std::path::Path;
 

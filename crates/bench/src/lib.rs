@@ -15,8 +15,9 @@
 //! * [`fuzz`] — the scenario-fuzz campaign driver behind `scenario_fuzz`
 //!   (seeded case fan-out → oracle verdicts → corpus replay →
 //!   `BENCH_fuzz.json`);
-//! * [`perfgate`] — baseline comparison for the CI perf gate
-//!   (`tick_bench`/`fleet_bench` `--baseline` flags);
+//! * [`perfgate`] — the per-schema gate rules and the evaluator behind the
+//!   `gate` binary, which compares a fresh `tick_bench`, `fleet_bench` or
+//!   `serve_load` report against its committed `BENCH_*.json` baseline;
 //! * [`vivisect`] — the handover vivisection harness behind `ho_vivisect`
 //!   (span assembly + shadow oracle per UE → telemetry reconciliation →
 //!   `BENCH_vivisect.json`).
@@ -27,7 +28,6 @@ pub mod features;
 pub mod fmt;
 pub mod fuzz;
 pub mod perfgate;
-pub mod report;
 pub mod sweep;
 pub mod vivisect;
 
@@ -35,8 +35,6 @@ pub use datasets::{d1_traces, d2_traces};
 pub use driver::{label_windows, run_prognos, PrognosRun, WindowOutcome};
 pub use features::{gbc_dataset, lstm_sequences};
 pub use fuzz::{campaign_report, replay_corpus, run_campaign, FuzzOutcome, FUZZ_SCHEMA};
-pub use perfgate::{evaluate, fleet_metric, metric_after, Gate};
-pub use report::JsonBuf;
 pub use sweep::{RouteKind, SweepPredictor, SweepResult, SweepSpec};
 pub use vivisect::{
     matrix, reconcile, report as vivisect_report, run_cell, run_matrix, CellOutcome, VivisectCell, VivisectObserver,

@@ -1,12 +1,13 @@
 //! Perf-gate support: compare a fresh benchmark report against a committed
-//! baseline (`BENCH_tick.json`, `BENCH_fleet.json`) and fail on regression.
+//! baseline (`BENCH_tick.json`, `BENCH_fleet.json`, `BENCH_serve.json`) and
+//! fail on regression. The `gate` binary runs [`gate`] on the two files.
 //!
-//! The reports are written by [`crate::report::JsonBuf`] — single-line JSON
-//! with a fixed key order and no whitespace — so the extractor here is a
-//! deliberately small string scanner instead of a JSON parser: it finds the
-//! entry object by a literal anchor (`"path":"snapshot"`, [`metric_after`])
-//! or by the parsed value of its `"n_ues"` key ([`fleet_metric`]) and
-//! reads one numeric metric out of that same object.
+//! Both documents are parsed with [`Value::parse`] and must carry the same
+//! `schema` string — cross-schema gating would silently compare rows whose
+//! metrics no longer mean the same thing. The schema then selects one
+//! [`Spec`] from [`SPECS`]: plain data saying which rows of the report are
+//! paired with which rows of the baseline, and which metric of each pair is
+//! compared in which [`Better`] direction.
 //!
 //! # What gets gated
 //!
@@ -16,29 +17,32 @@
 //! would fail on a slow runner, not on a slow commit. The gates therefore
 //! cover only **machine-independent** metrics:
 //!
-//! * work counts (`ticks`, `ue_ticks`): deterministic for a pinned
-//!   workload, gated as a *band* — drift in either direction means the
-//!   workload silently changed;
+//! * work counts (`ticks`, `ue_ticks`, the serve counts): deterministic for
+//!   a pinned workload, gated as a *band* — drift in either direction means
+//!   the workload silently changed;
 //! * allocation proxies (`allocs_per_tick`, `allocs_per_ue_tick`): counted
 //!   by a deterministic global allocator, gated *lower-is-better*;
 //! * the snapshot-vs-reference `speedup` ratio: both sides are measured in
 //!   the same process on the same machine, so runner speed cancels to
 //!   first order, gated *higher-is-better*; the fleet's fixed-vs-event
 //!   `event_speedup` is gated the same way, and its `skip_ratio` — a
-//!   deterministic work count in disguise — as a *band*.
+//!   deterministic work count in disguise — as a *band*;
+//! * the serve report's prediction-equivalence `equiv_digest`, compared
+//!   exactly (a digest has no tolerance band), and its wire-vs-offline
+//!   `mismatches`, which may never exceed the baseline's.
 //!
-//! Before any of that, gating callers compare [`schema_of`] the baseline
-//! against the schema string they themselves write and fail loudly on a
-//! mismatch — cross-schema gating would silently compare rows whose
-//! metrics no longer mean the same thing.
-//!
-//! Absolute throughput (ticks/sec) is still compared — via [`advise`] — but
-//! only as a printed hint; it can never fail the job.
+//! Absolute throughput (ticks/sec) is still compared, but as
+//! [`Better::Advisory`]: a printed hint that can never fail the job.
 //!
 //! Tolerance semantics per [`Better`] direction: a run **fails** only when
-//! the current value leaves the tolerance band on its bad side. Moves past
+//! the current value leaves the [`TOL`] band on its bad side. Moves past
 //! the band on the good side are reported as a hint to refresh the
 //! committed baseline, but do not fail the job.
+
+use fiveg_telemetry::json::Value;
+
+/// Relative tolerance of every banded gate.
+pub const TOL: f64 = 0.15;
 
 /// Which direction of drift counts as a regression for a gated metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,324 +55,465 @@ pub enum Better {
     /// Invariant-like (work counts): regress when `current` leaves the
     /// band in *either* direction — the workload itself changed.
     Band,
+    /// A count that may never grow (wire-vs-offline mismatches): regress
+    /// when `current` exceeds the baseline at all, with no tolerance.
+    AtMost,
+    /// A string that must match exactly (the equivalence digest).
+    Exact,
+    /// Machine-dependent (absolute throughput): printed, never fails.
+    Advisory,
 }
 
-/// One gated comparison: a labelled metric against its committed baseline.
+/// One comparison: a labelled metric against its committed baseline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Gate {
+pub struct Gate<'a> {
     /// What is being compared, e.g. `snapshot allocs_per_tick` or
     /// `fleet[100] ue_ticks`.
     pub what: String,
-    /// The committed value.
-    pub baseline: f64,
+    /// The committed value: a string for [`Better::Exact`], else a number.
+    pub baseline: Value<'a>,
     /// The value measured by this run.
-    pub current: f64,
+    pub current: Value<'a>,
     /// Which drift direction fails the gate.
     pub better: Better,
 }
 
-impl Gate {
-    /// `current / baseline` — above 1.0 means a larger current value.
-    pub fn ratio(&self) -> f64 {
-        self.current / self.baseline
+impl Gate<'_> {
+    /// The (baseline, current) pair as numbers; NaN for a string gate.
+    fn nums(&self) -> (f64, f64) {
+        let num = |v: &Value| v.as_f64().unwrap_or(f64::NAN);
+        (num(&self.baseline), num(&self.current))
     }
 
     /// True when the current value left the tolerance band on its bad side.
-    pub fn regressed(&self, tol: f64) -> bool {
-        let low = self.current < self.baseline * (1.0 - tol);
-        let high = self.current > self.baseline * (1.0 + tol);
+    pub fn regressed(&self) -> bool {
+        let (b, c) = self.nums();
+        let low = c < b * (1.0 - TOL);
+        let high = c > b * (1.0 + TOL);
         match self.better {
             Better::Higher => low,
             Better::Lower => high,
             Better::Band => low || high,
+            Better::AtMost => c > b,
+            Better::Exact => self.baseline.as_str() != self.current.as_str(),
+            Better::Advisory => false,
         }
     }
 
     /// True when the current value beats the baseline by more than the
-    /// tolerance — time to re-commit the baseline file. Never true for
-    /// [`Better::Band`] gates, where any exit from the band is a failure.
-    pub fn improved(&self, tol: f64) -> bool {
+    /// tolerance — time to re-commit the baseline file. Only
+    /// [`Better::Higher`] and [`Better::Lower`] gates can improve.
+    pub fn improved(&self) -> bool {
+        let (b, c) = self.nums();
         match self.better {
-            Better::Higher => self.current > self.baseline * (1.0 + tol),
-            Better::Lower => self.current < self.baseline * (1.0 - tol),
-            Better::Band => false,
+            Better::Higher => c > b * (1.0 + TOL),
+            Better::Lower => c < b * (1.0 - TOL),
+            _ => false,
         }
     }
 
     /// One human-readable verdict line for the job log.
-    pub fn verdict(&self, tol: f64) -> String {
-        let state = if self.regressed(tol) {
+    pub fn verdict(&self) -> String {
+        let state = if self.better == Better::Advisory {
+            "advisory (machine-dependent, not gated)"
+        } else if self.regressed() {
             "FAIL (regression)"
-        } else if self.improved(tol) {
+        } else if self.improved() {
             "ok (better; consider refreshing the baseline)"
         } else {
             "ok"
         };
-        format!(
-            "  {:<34} baseline {:>12.1}  current {:>12.1}  ratio {:>5.2}  {}",
-            self.what,
-            self.baseline,
-            self.current,
-            self.ratio(),
-            state
-        )
-    }
-}
-
-/// Extracts the report's `"schema"` string (e.g. `fiveg-fleet/v3`), `None`
-/// when the key is absent. Gating callers must compare this against the
-/// schema they write and **fail loudly on a mismatch**: the row extractors
-/// below pair entries by anchor value, so a baseline from an older schema
-/// generation would silently line up rows whose metrics mean different
-/// things (a different pinned scenario, a renamed field) instead of
-/// refusing to gate.
-pub fn schema_of(json: &str) -> Option<&str> {
-    const KEY: &str = "\"schema\":\"";
-    let rest = &json[json.find(KEY)? + KEY.len()..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts the numeric value of `metric` from the entry object of `json`
-/// identified by `anchor` (a literal substring such as `"path":"snapshot"`).
-/// The metric must appear after the anchor and before the object's closing
-/// brace — true for every report this crate writes, where the identifying
-/// key is emitted first. Returns `None` when either the anchor or the
-/// metric is absent, so callers can treat a missing entry as "not gated".
-pub fn metric_after(json: &str, anchor: &str, metric: &str) -> Option<f64> {
-    let rest = &json[json.find(anchor)? + anchor.len()..];
-    let scope = &rest[..rest.find('}').unwrap_or(rest.len())];
-    let key = format!("\"{metric}\":");
-    let tail = &scope[scope.find(&key)? + key.len()..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
-}
-
-/// Extracts a top-of-report scalar such as `speedup`, which lives *outside*
-/// any anchored entry object. Scans for the **last** occurrence of the key
-/// so per-entry fields that happen to share a name never shadow the
-/// report-level one (report-level keys are emitted after the entry arrays).
-pub fn metric_anywhere(json: &str, metric: &str) -> Option<f64> {
-    let key = format!("\"{metric}\":");
-    let tail = &json[json.rfind(&key)? + key.len()..];
-    let stop = tail.find([',', '}']).unwrap_or(tail.len());
-    tail[..stop].trim().parse::<f64>().ok()
-}
-
-/// Extracts the **string** value of `metric` from the entry object of
-/// `json` identified by `anchor`, with the same scoping rules as
-/// [`metric_after`]. This is how non-numeric gated fields — the serve
-/// report's prediction-equivalence `equiv_digest` — are compared: string
-/// gates are exact-match (a digest has no tolerance band). Returns `None`
-/// when the anchor, the metric, or the closing quote is absent.
-pub fn str_after<'a>(json: &'a str, anchor: &str, metric: &str) -> Option<&'a str> {
-    let rest = &json[json.find(anchor)? + anchor.len()..];
-    let scope = &rest[..rest.find('}').unwrap_or(rest.len())];
-    let key = format!("\"{metric}\":\"");
-    let tail = &scope[scope.find(&key)? + key.len()..];
-    Some(&tail[..tail.find('"')?])
-}
-
-/// Extracts `metric` from the fleet-report entry whose `"n_ues"` **value**
-/// equals `n_ues`. Every `"n_ues":` occurrence is parsed and compared
-/// numerically, so the pairing is keyed by size — a reordered or extended
-/// baseline can never line a measurement up against the wrong row, and a
-/// prefix size (`100` vs `1000`) or a trailing `}` instead of `,` cannot
-/// confuse the match the way a literal-substring anchor could. Like
-/// [`metric_after`], the metric must follow the key inside the same object
-/// (true for every report this crate writes, where `n_ues` is emitted
-/// first). Returns `None` when the size or the metric is absent.
-pub fn fleet_metric(json: &str, n_ues: u32, metric: &str) -> Option<f64> {
-    const KEY: &str = "\"n_ues\":";
-    let mut from = 0;
-    while let Some(pos) = json[from..].find(KEY) {
-        from += pos + KEY.len();
-        let tail = &json[from..];
-        let stop = tail.find([',', '}']).unwrap_or(tail.len());
-        if tail[..stop].trim().parse::<u64>() != Ok(u64::from(n_ues)) {
-            continue;
+        match (self.baseline.as_str(), self.current.as_str()) {
+            (Some(b), Some(c)) => format!("  {:<34} baseline {:>16}  current {:>16}  {}", self.what, b, c, state),
+            _ => {
+                let (b, c) = self.nums();
+                format!(
+                    "  {:<34} baseline {:>12.1}  current {:>12.1}  ratio {:>5.2}  {}",
+                    self.what,
+                    b,
+                    c,
+                    c / b,
+                    state
+                )
+            }
         }
-        let scope = &tail[..tail.find('}').unwrap_or(tail.len())];
-        let key = format!("\"{metric}\":");
-        let m = &scope[scope.find(&key)? + key.len()..];
-        let mstop = m.find([',', '}']).unwrap_or(m.len());
-        return m[..mstop].trim().parse::<f64>().ok();
     }
-    None
 }
 
-/// Evaluates a set of gates against a tolerance, printing one verdict line
-/// each, and returns whether every gate passed. An empty set passes here —
-/// callers that *expected* matches must treat zero gates as their own
-/// failure (a reformatted baseline silently matching nothing must not turn
-/// the gate into a no-op; see `fleet_bench`).
-pub fn evaluate(gates: &[Gate], tol: f64) -> bool {
-    let mut ok = true;
-    for g in gates {
-        println!("{}", g.verdict(tol));
-        ok &= !g.regressed(tol);
-    }
-    ok
+/// Which objects of a report a [`Section`] compares, and how report rows
+/// pair with baseline rows.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows {
+    /// The report object itself.
+    Top,
+    /// One object member of the report (`gated`, `advisory`).
+    Member(&'static str),
+    /// The entry of `array` whose string member `key` equals `value`;
+    /// both sides must carry it.
+    Entry { array: &'static str, key: &'static str, value: &'static str },
+    /// Every entry of the report's `array`, paired with the baseline entry
+    /// whose `key` member has the same value. A report entry the baseline
+    /// lacks fails the gate — unless `skip_missing`, which skips it with a
+    /// note (so a new size never fails the job that introduces it) and
+    /// fails only when no entry matched at all.
+    Each { array: &'static str, key: &'static str, skip_missing: bool },
 }
 
-/// Prints a non-gating comparison line for a machine-dependent metric
-/// (absolute throughput). The numbers are worth seeing next to the gated
-/// verdicts, but a slow shared runner must never fail the job on them.
-pub fn advise(what: &str, baseline: f64, current: f64) {
-    println!(
-        "  {:<34} baseline {:>12.1}  current {:>12.1}  ratio {:>5.2}  advisory (machine-dependent, not gated)",
-        what,
-        baseline,
-        current,
-        current / baseline
-    );
+/// One metric compared on every row pair of its [`Section`].
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// The member read from both rows.
+    pub key: &'static str,
+    /// The label after the section's; the key unless renamed.
+    pub label: &'static str,
+    /// Which drift direction fails the gate.
+    pub better: Better,
+    /// Compared only when both rows carry it (the fleet's event-driven
+    /// fields); a required metric missing on either side fails the gate.
+    pub optional: bool,
+}
+
+impl Metric {
+    const fn new(key: &'static str, better: Better) -> Metric {
+        Metric { key, label: key, better, optional: false }
+    }
+
+    const fn optional(key: &'static str, better: Better) -> Metric {
+        Metric { key, label: key, better, optional: true }
+    }
+
+    const fn named(self, label: &'static str) -> Metric {
+        Metric { label, ..self }
+    }
+}
+
+/// A set of row pairs and the metrics compared on each.
+#[derive(Debug, Clone, Copy)]
+pub struct Section {
+    /// Where the rows are.
+    pub rows: Rows,
+    /// The row's label prefix; `{}` stands for a [`Rows::Each`] key value.
+    pub label: &'static str,
+    /// Compared on every row pair, in order.
+    pub metrics: &'static [Metric],
+}
+
+/// The gate rules of one report schema.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec {
+    /// The `schema` string both documents carry.
+    pub schema: &'static str,
+    /// Compared in order.
+    pub sections: &'static [Section],
+}
+
+/// The gate rules of every report with a committed baseline. Only the
+/// tick report's snapshot (production) path is gated — the reference path
+/// is a correctness referee, not a perf contract.
+pub const SPECS: &[Spec] = &[
+    Spec {
+        schema: "fiveg-tick/v2",
+        sections: &[
+            Section {
+                rows: Rows::Entry { array: "paths", key: "path", value: "snapshot" },
+                label: "snapshot",
+                metrics: &[
+                    Metric::new("ticks", Better::Band),
+                    Metric::new("allocs_per_tick", Better::Lower),
+                    Metric::new("ticks_per_sec", Better::Advisory),
+                ],
+            },
+            Section {
+                rows: Rows::Top,
+                label: "",
+                metrics: &[Metric::new("speedup", Better::Higher).named("speedup (snapshot/reference)")],
+            },
+            Section {
+                rows: Rows::Each { array: "des", key: "des", skip_missing: false },
+                label: "des {}",
+                metrics: &[
+                    Metric::new("ticks", Better::Band),
+                    Metric::new("skip_ratio", Better::Band),
+                    Metric::new("ue_ticks_per_sec", Better::Advisory),
+                ],
+            },
+        ],
+    },
+    Spec {
+        schema: "fiveg-fleet/v3",
+        sections: &[Section {
+            rows: Rows::Each { array: "sizes", key: "n_ues", skip_missing: true },
+            label: "fleet[{}]",
+            metrics: &[
+                Metric::new("ue_ticks", Better::Band),
+                Metric::new("allocs_per_ue_tick", Better::Lower),
+                Metric::optional("ue_ticks_per_sec", Better::Advisory),
+                Metric::optional("skip_ratio", Better::Band),
+                Metric::optional("event_speedup", Better::Higher),
+                Metric::optional("event_ue_ticks_per_sec", Better::Advisory).named("event UE·ticks/sec"),
+            ],
+        }],
+    },
+    Spec {
+        schema: "fiveg-serve/v1",
+        sections: &[
+            Section {
+                rows: Rows::Member("gated"),
+                label: "serve",
+                metrics: &[
+                    Metric::new("sessions_completed", Better::Band),
+                    Metric::new("frames_sent", Better::Band),
+                    Metric::new("predictions", Better::Band),
+                    Metric::new("ho_predictions", Better::Band),
+                    Metric::new("equiv_digest", Better::Exact),
+                    Metric::new("mismatches", Better::AtMost),
+                ],
+            },
+            Section {
+                rows: Rows::Member("advisory"),
+                label: "",
+                metrics: &[Metric::optional("predictions_per_sec", Better::Advisory)],
+            },
+        ],
+    },
+];
+
+/// What [`gate`] compared.
+#[derive(Debug, Default)]
+pub struct Outcome<'a> {
+    /// Every comparison, advisory ones included, in rule-table order.
+    pub gates: Vec<Gate<'a>>,
+    /// One line per report row the baseline lacks and the rules skip.
+    pub notes: Vec<String>,
+}
+
+impl Outcome<'_> {
+    /// True when no gate regressed.
+    pub fn passed(&self) -> bool {
+        self.gates.iter().all(|g| !g.regressed())
+    }
+}
+
+/// Pairs `report` with `baseline` under the rules of their shared schema.
+/// A structural fault is an `Err`: a missing or differing schema, a schema
+/// without rules, a required row or metric missing on either side, or a
+/// skip-missing array with no row in common. Regressions are not errors;
+/// see [`Outcome::passed`].
+pub fn gate<'a>(baseline: &Value<'a>, report: &Value<'a>) -> Result<Outcome<'a>, String> {
+    let schema_of = |doc: &Value<'a>, side: &str| {
+        doc.get("schema").and_then(Value::as_str).map(str::to_owned).ok_or(format!("{side} has no schema string"))
+    };
+    let (b_schema, schema) = (schema_of(baseline, "baseline")?, schema_of(report, "report")?);
+    if b_schema != schema {
+        return Err(format!(
+            "baseline has schema '{b_schema}' but the report has '{schema}' — \
+             regenerate the baseline instead of gating across schema versions"
+        ));
+    }
+    let spec = SPECS.iter().find(|s| s.schema == schema).ok_or(format!("no gate rules for schema '{schema}'"))?;
+    let mut out = Outcome::default();
+    for section in spec.sections {
+        for (row, b, c) in pairs(section, baseline, report, &mut out.notes)? {
+            for m in section.metrics {
+                let what = if row.is_empty() { m.label.to_owned() } else { format!("{row} {}", m.label) };
+                let read = |v: &Value<'a>| {
+                    let ok = |x: &&Value| {
+                        if m.better == Better::Exact {
+                            x.as_str().is_some()
+                        } else {
+                            x.as_f64().is_some()
+                        }
+                    };
+                    v.get(m.key).filter(ok).cloned()
+                };
+                match (read(b), read(c)) {
+                    (Some(baseline), Some(current)) => {
+                        out.gates.push(Gate { what, baseline, current, better: m.better })
+                    }
+                    _ if m.optional => {}
+                    (b, _) => {
+                        let side = if b.is_none() { "baseline" } else { "report" };
+                        return Err(format!("{side} lacks {what} — reformatted or wrong file?"));
+                    }
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// A compared row pair: its label, the baseline row, the report row.
+type Pair<'v, 'a> = (String, &'v Value<'a>, &'v Value<'a>);
+
+/// The array `key` of `doc`, if it has one.
+fn entries<'v, 'a>(doc: &'v Value<'a>, key: &str) -> Option<&'v [Value<'a>]> {
+    match doc.get(key)? {
+        Value::Arr(items) => Some(items),
+        _ => None,
+    }
+}
+
+/// The row pairs `section` compares; report rows the baseline lacks and
+/// may skip land in `notes`.
+fn pairs<'v, 'a>(
+    section: &Section,
+    baseline: &'v Value<'a>,
+    report: &'v Value<'a>,
+    notes: &mut Vec<String>,
+) -> Result<Vec<Pair<'v, 'a>>, String> {
+    let single = |b: Option<&'v Value<'a>>, c: Option<&'v Value<'a>>, what: String| {
+        let b = b.ok_or(format!("baseline has no {what}"))?;
+        let c = c.ok_or(format!("report has no {what}"))?;
+        Ok(vec![(section.label.to_owned(), b, c)])
+    };
+    let (array, key, skip_missing) = match section.rows {
+        Rows::Top => return single(Some(baseline), Some(report), String::new()),
+        Rows::Member(name) => return single(baseline.get(name), report.get(name), format!("`{name}` object")),
+        Rows::Entry { array, key, value } => {
+            let find = |doc: &'v Value<'a>| {
+                entries(doc, array)?.iter().find(|e| e.get(key).and_then(Value::as_str) == Some(value))
+            };
+            return single(find(baseline), find(report), format!("`{array}` entry with {key} {value}"));
+        }
+        Rows::Each { array, key, skip_missing } => (array, key, skip_missing),
+    };
+    let mut out = Vec::new();
+    for c in entries(report, array).ok_or(format!("report has no `{array}` array"))? {
+        let k = c.get(key).ok_or(format!("report has a `{array}` entry without {key}"))?;
+        let shown = match k {
+            Value::Str(s) => s.clone(),
+            Value::Num(t) => (*t).to_owned(),
+            other => other.kind().to_owned(),
+        };
+        let row = section.label.replace("{}", &shown);
+        match entries(baseline, array).unwrap_or_default().iter().find(|b| b.get(key) == Some(k)) {
+            Some(b) => out.push((row, b, c)),
+            None if skip_missing => notes.push(format!("{row}: not in baseline, skipped")),
+            None => return Err(format!("baseline has no `{array}` entry for {row}")),
+        }
+    }
+    if out.is_empty() && skip_missing {
+        return Err(format!("baseline matched none of the report's `{array}` entries — reformatted or wrong file?"));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const TICK: &str = concat!(
-        r#"{"schema":"fiveg-tick/v2","mode":"smoke","iters":3,"#,
-        r#""paths":[{"path":"reference","ticks":1662,"elapsed_s":0.02,"ticks_per_sec":71642.0,"allocs_per_tick":17.0},"#,
-        r#"{"path":"snapshot","ticks":1662,"elapsed_s":0.02,"ticks_per_sec":106960.0,"allocs_per_tick":3.0}],"#,
-        r#""speedup":1.49,"des_skip_floor":0.5,"#,
-        r#""des":[{"des":"city-sa","ticks":600,"skipped_ticks":539,"sleeps":10,"skip_ratio":0.898,"ue_ticks_per_sec":1912.0},"#,
-        r#"{"des":"walking-sa","ticks":600,"skipped_ticks":503,"sleeps":23,"skip_ratio":0.838,"ue_ticks_per_sec":35176.0}]}"#
-    );
+    const TICK: &str = include_str!("../../../BENCH_tick.json");
+    const FLEET: &str = include_str!("../../../BENCH_fleet.json");
+    const SERVE: &str = include_str!("../../../BENCH_serve.json");
 
-    const FLEET: &str = concat!(
-        r#"{"schema":"fiveg-fleet/v2","sizes":[{"n_ues":1,"ue_ticks_per_sec":90000.0},"#,
-        r#"{"n_ues":10,"ue_ticks_per_sec":85000.0},{"n_ues":100,"ue_ticks_per_sec":80000.0},"#,
-        r#"{"n_ues":1000,"ue_ticks_per_sec":76000.0}]}"#
-    );
+    fn gate_of(better: Better, baseline: &'static str, current: &'static str) -> Gate<'static> {
+        Gate { what: "x".into(), baseline: Value::Num(baseline), current: Value::Num(current), better }
+    }
 
-    fn gate(baseline: f64, current: f64, better: Better) -> Gate {
-        Gate { what: "x".into(), baseline, current, better }
+    /// Gates `report` against `baseline`: the outcome, or the fault.
+    fn run(baseline: &str, report: &str) -> Result<(bool, usize), String> {
+        let (b, r) = (Value::parse(baseline)?, Value::parse(report)?);
+        let out = gate(&b, &r)?;
+        Ok((out.passed(), out.gates.iter().filter(|g| g.better != Better::Advisory).count()))
+    }
+
+    /// `doc` with its first `from` replaced by `to`; panics if absent so a
+    /// mutation can never silently miss.
+    fn mutate(doc: &str, from: &str, to: &str) -> String {
+        assert!(doc.contains(from), "mutation target {from} not in the document");
+        doc.replacen(from, to, 1)
     }
 
     #[test]
-    fn schema_of_reads_the_version_string() {
-        assert_eq!(schema_of(TICK), Some("fiveg-tick/v2"));
-        assert_eq!(schema_of(FLEET), Some("fiveg-fleet/v2"));
-        assert_eq!(schema_of(r#"{"schema":"fiveg-fleet/v3","sizes":[]}"#), Some("fiveg-fleet/v3"));
-        assert_eq!(schema_of(r#"{"sizes":[]}"#), None, "missing schema must be None, not a panic");
-        assert_eq!(schema_of(""), None);
+    fn committed_baselines_pass_against_themselves_with_every_gate() {
+        assert_eq!(run(TICK, TICK), Ok((true, 7)), "tick: snapshot ticks + allocs, speedup, 2 des × 2");
+        assert_eq!(run(FLEET, FLEET), Ok((true, 24)), "fleet: 6 sizes × 4");
+        assert_eq!(run(SERVE, SERVE), Ok((true, 6)), "serve: 4 bands, the digest, mismatches");
     }
 
     #[test]
-    fn extracts_the_anchored_entry_not_its_neighbors() {
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "ticks_per_sec"), Some(106960.0));
-        assert_eq!(metric_after(TICK, r#""path":"reference""#, "ticks_per_sec"), Some(71642.0));
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "allocs_per_tick"), Some(3.0));
-        // the v2 des entries anchor on their label key, so gates can pick a
-        // scenario without being fooled by the array key or a neighbor entry
-        assert_eq!(metric_after(TICK, r#""des":"city-sa""#, "skip_ratio"), Some(0.898));
-        assert_eq!(metric_after(TICK, r#""des":"walking-sa""#, "skip_ratio"), Some(0.838));
-        assert_eq!(metric_after(TICK, r#""des":"walking-sa""#, "ticks"), Some(600.0));
+    fn every_regression_fails() {
+        let cases = [
+            ("band", TICK, mutate(TICK, r#""ticks":20961,"elapsed_s":3.37"#, r#""ticks":30000,"elapsed_s":3.37"#)),
+            ("allocs", TICK, mutate(TICK, r#""allocs_per_tick":3.44"#, r#""allocs_per_tick":9.44"#)),
+            ("speedup", TICK, mutate(TICK, r#""speedup":1.6"#, r#""speedup":0.6"#)),
+            ("digest", SERVE, mutate(SERVE, r#""equiv_digest":"5da2"#, r#""equiv_digest":"5da3"#)),
+            ("mismatches", SERVE, mutate(SERVE, r#""mismatches":0,"equiv"#, r#""mismatches":1,"equiv"#)),
+        ];
+        for (what, baseline, report) in cases {
+            let (passed, _) = run(baseline, &report).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(!passed, "{what}: a regressed report must fail the gate");
+        }
     }
 
     #[test]
-    fn fleet_metric_disambiguates_prefix_sizes() {
-        assert_eq!(fleet_metric(FLEET, 100, "ue_ticks_per_sec"), Some(80000.0));
-        assert_eq!(fleet_metric(FLEET, 1000, "ue_ticks_per_sec"), Some(76000.0));
-        assert_eq!(fleet_metric(FLEET, 1, "ue_ticks_per_sec"), Some(90000.0));
-        assert_eq!(fleet_metric(FLEET, 10, "ue_ticks_per_sec"), Some(85000.0));
+    fn every_structural_fault_fails() {
+        let renamed = mutate(TICK, "fiveg-tick/v2", "fiveg-tick/v3");
+        let no_des_row = format!("{}]}}\n", &TICK[..TICK.find(r#",{"des":"walking-sa""#).expect("walking-sa row")]);
+        let no_snapshot = mutate(TICK, r#""path":"snapshot""#, r#""path":"snap""#);
+        let unknown_sizes = FLEET.replace(r#""n_ues":"#, r#""n_ues":7"#);
+        let truncated = &SERVE[..SERVE.len() / 2];
+        let cases = [
+            ("schema mismatch", TICK, renamed.as_str()),
+            ("baseline lacks a des row", no_des_row.as_str(), TICK),
+            ("baseline lacks the snapshot row", no_snapshot.as_str(), TICK),
+            ("no fleet size in common", unknown_sizes.as_str(), FLEET),
+            ("unparsable report", SERVE, truncated),
+        ];
+        for (what, baseline, report) in cases {
+            assert!(run(baseline, report).is_err(), "{what} must fail the gate");
+        }
     }
 
     #[test]
-    fn fleet_metric_is_keyed_by_value_not_position() {
-        // entries deliberately out of size order, with an extra unrelated
-        // size in the middle: the pairing must follow the n_ues value
-        let reordered = concat!(
-            r#"{"schema":"fiveg-fleet/v2","sizes":[{"n_ues":1000,"ue_ticks":9.0},"#,
-            r#"{"n_ues":7,"ue_ticks":3.0},{"n_ues":100,"ue_ticks":5.0},{"n_ues":1,"ue_ticks":1.0}]}"#
-        );
-        assert_eq!(fleet_metric(reordered, 1, "ue_ticks"), Some(1.0));
-        assert_eq!(fleet_metric(reordered, 100, "ue_ticks"), Some(5.0));
-        assert_eq!(fleet_metric(reordered, 1000, "ue_ticks"), Some(9.0));
+    fn sizes_missing_from_the_baseline_are_skipped_with_a_note() {
+        let report = mutate(FLEET, r#""n_ues":100000,"#, r#""n_ues":200000,"#);
+        let (b, r) = (Value::parse(FLEET).unwrap(), Value::parse(&report).unwrap());
+        let out = gate(&b, &r).expect("five sizes still match");
+        assert!(out.passed());
+        assert_eq!(out.notes, ["fleet[200000]: not in baseline, skipped"]);
+        assert_eq!(out.gates.iter().filter(|g| g.better != Better::Advisory).count(), 20);
     }
 
     #[test]
-    fn fleet_metric_matches_entries_closed_by_a_brace() {
-        // n_ues as the only key: the value is terminated by '}' not ','
-        let j = r#"[{"n_ues":10},{"n_ues":100,"ue_ticks":5.0}]"#;
-        assert_eq!(fleet_metric(j, 100, "ue_ticks"), Some(5.0));
-        assert_eq!(fleet_metric(j, 10, "ue_ticks"), None, "entry exists but lacks the metric");
-    }
-
-    #[test]
-    fn missing_anchor_or_metric_is_none_not_a_panic() {
-        assert_eq!(fleet_metric(FLEET, 500, "ue_ticks_per_sec"), None);
-        assert_eq!(fleet_metric(FLEET, 100, "nonexistent"), None);
-        assert_eq!(fleet_metric("", 100, "ue_ticks_per_sec"), None);
-        assert_eq!(metric_after(TICK, r#""path":"snapshot""#, "nonexistent"), None);
-        assert_eq!(metric_after("", r#""path":"snapshot""#, "ticks_per_sec"), None);
-    }
-
-    #[test]
-    fn metric_lookup_stays_inside_the_anchored_object() {
-        // "elapsed_s" exists only in the *next* object; the scan must stop
-        // at the closing brace of the anchored one
-        let j = r#"[{"n_ues":1,"a":2.0},{"n_ues":10,"elapsed_s":9.0}]"#;
-        assert_eq!(metric_after(j, r#""n_ues":1,"#, "elapsed_s"), None);
-    }
-
-    #[test]
-    fn str_after_reads_string_fields_inside_the_anchored_object() {
-        let j = concat!(
-            r#"{"schema":"fiveg-serve/v1","gated":{"sessions_completed":8,"#,
-            r#""equiv_digest":"00f3a9b2c4d5e6f7","mismatches":0},"#,
-            r#""advisory":{"note":"other"}}"#
-        );
-        assert_eq!(str_after(j, r#""gated":"#, "equiv_digest"), Some("00f3a9b2c4d5e6f7"));
-        assert_eq!(str_after(j, r#""gated":"#, "note"), None, "scope ends at the first brace");
-        assert_eq!(str_after(j, r#""advisory":"#, "note"), Some("other"));
-        assert_eq!(str_after(j, r#""missing":"#, "equiv_digest"), None);
-        assert_eq!(str_after(j, r#""gated":"#, "sessions_completed"), None, "numeric field is not a string");
-        assert_eq!(str_after("", r#""gated":"#, "equiv_digest"), None);
-    }
-
-    #[test]
-    fn metric_anywhere_reads_report_level_scalars() {
-        assert_eq!(metric_anywhere(TICK, "speedup"), Some(1.49));
-        assert_eq!(metric_anywhere(TICK, "iters"), Some(3.0));
-        assert_eq!(metric_anywhere(TICK, "nonexistent"), None);
-        assert_eq!(metric_anywhere("", "speedup"), None);
+    fn event_fields_gate_only_when_both_sides_carry_them() {
+        let fixed_only = r#"{"schema":"fiveg-fleet/v3","sizes":[{"n_ues":1,"ue_ticks":600,"allocs_per_ue_tick":1.1}]}"#;
+        assert_eq!(run(FLEET, fixed_only), Ok((true, 2)));
+        assert_eq!(run(fixed_only, FLEET).map(|(_, n)| n), Ok(2));
     }
 
     #[test]
     fn higher_is_better_fails_only_on_drop() {
-        assert!(gate(100.0, 84.9, Better::Higher).regressed(0.15));
-        assert!(!gate(100.0, 85.1, Better::Higher).regressed(0.15));
-        let g = gate(100.0, 300.0, Better::Higher);
-        assert!(!g.regressed(0.15), "an improvement must never fail the gate");
-        assert!(g.improved(0.15));
+        assert!(gate_of(Better::Higher, "100", "84.9").regressed());
+        assert!(!gate_of(Better::Higher, "100", "85.1").regressed());
+        let g = gate_of(Better::Higher, "100", "300");
+        assert!(!g.regressed(), "an improvement must never fail the gate");
+        assert!(g.improved());
     }
 
     #[test]
     fn lower_is_better_fails_only_on_rise() {
-        assert!(gate(100.0, 115.1, Better::Lower).regressed(0.15));
-        assert!(!gate(100.0, 114.9, Better::Lower).regressed(0.15));
-        let g = gate(100.0, 50.0, Better::Lower);
-        assert!(!g.regressed(0.15), "fewer allocations must never fail the gate");
-        assert!(g.improved(0.15));
+        assert!(gate_of(Better::Lower, "100", "115.1").regressed());
+        assert!(!gate_of(Better::Lower, "100", "114.9").regressed());
+        let g = gate_of(Better::Lower, "100", "50");
+        assert!(!g.regressed(), "fewer allocations must never fail the gate");
+        assert!(g.improved());
     }
 
     #[test]
     fn band_fails_on_drift_in_either_direction() {
-        assert!(gate(100.0, 84.9, Better::Band).regressed(0.15));
-        assert!(gate(100.0, 115.1, Better::Band).regressed(0.15));
-        let inside = gate(100.0, 100.0, Better::Band);
-        assert!(!inside.regressed(0.15));
-        assert!(!gate(100.0, 200.0, Better::Band).improved(0.15), "a band gate never 'improves'");
+        assert!(gate_of(Better::Band, "100", "84.9").regressed());
+        assert!(gate_of(Better::Band, "100", "115.1").regressed());
+        assert!(!gate_of(Better::Band, "100", "100").regressed());
+        assert!(!gate_of(Better::Band, "100", "200").improved(), "a band gate never 'improves'");
     }
 
     #[test]
-    fn evaluate_aggregates_all_gates() {
-        let pass = gate(100.0, 98.0, Better::Higher);
-        let fail = gate(100.0, 50.0, Better::Higher);
-        assert!(evaluate(std::slice::from_ref(&pass), 0.15));
-        assert!(!evaluate(&[pass, fail], 0.15));
-        assert!(evaluate(&[], 0.15), "no gates means nothing to fail");
+    fn at_most_has_no_tolerance_and_advisory_never_fails() {
+        assert!(gate_of(Better::AtMost, "0", "1").regressed());
+        assert!(gate_of(Better::AtMost, "100", "101").regressed());
+        assert!(!gate_of(Better::AtMost, "100", "0").regressed());
+        assert!(!gate_of(Better::Advisory, "100", "1").regressed());
+        assert!(!gate_of(Better::Advisory, "100", "1000").improved());
     }
 }

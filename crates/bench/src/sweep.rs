@@ -20,12 +20,11 @@
 
 use crate::driver::{self, window_preds_to_episodes};
 use crate::features::{gbc_dataset, lstm_sequences};
-use crate::report::JsonBuf;
 use fiveg_analysis::ClassMetrics;
 use fiveg_baselines::{Gbc, GbcConfig, LstmConfig, StackedLstm};
 use fiveg_ran::{Arch, Carrier};
 use fiveg_sim::{FaultConfig, Scenario, ScenarioBuilder, Trace, TraceCache};
-use fiveg_telemetry::{Telemetry, TelemetryConfig};
+use fiveg_telemetry::{JsonBuf, Telemetry, TelemetryConfig};
 use prognos::PrognosConfig;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

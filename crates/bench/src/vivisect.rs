@@ -19,7 +19,6 @@
 //! `--threads` and across machines. The `vivisect-smoke` CI step diffs two
 //! runs to lock that in.
 
-use crate::report::JsonBuf;
 use crate::sweep::run_ordered;
 use fiveg_oracle::Oracle;
 use fiveg_ran::{Arch, Carrier, HandoverRecord, HoPhase, HoType, RadioTech};
@@ -28,7 +27,7 @@ use fiveg_sim::{
     run_fleet_exec_observed, AttachReason, FaultConfig, FleetExec, FleetSpec, ScenarioBuilder, ServingCells, SimHook,
     Telemetry, TelemetryConfig, TickView,
 };
-use fiveg_telemetry::{CounterSnapshot, Histogram};
+use fiveg_telemetry::{CounterSnapshot, Histogram, JsonBuf};
 use fiveg_trace::{SpanAssembler, SpanLog, SpanOutcome};
 use std::collections::BTreeMap;
 

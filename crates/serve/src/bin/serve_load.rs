@@ -11,25 +11,24 @@
 //! is a single gated string.
 //!
 //! ```text
-//! serve_load --pinned --uds /tmp/fiveg.sock --sessions 8 \
-//!     --out BENCH_serve.json --baseline BENCH_serve.json --tol 0.15
+//! serve_load --uds /tmp/fiveg.sock --sessions 8 --out BENCH_serve_ci.json
+//! gate BENCH_serve.json BENCH_serve_ci.json
 //! ```
 //!
 //! The report (schema `fiveg-serve/v1`) separates machine-independent
 //! `gated` fields (counts, mismatches, the digest) from machine-dependent
-//! `advisory` ones (latency percentiles, throughput). Exit codes: 0 ok,
-//! 1 usage/connection/gate failure, 2 wire-vs-offline prediction
-//! mismatch, 3 baseline schema mismatch.
+//! `advisory` ones (latency percentiles, throughput); the `gate` binary
+//! compares it against the committed `BENCH_serve.json` (see
+//! `fiveg_bench::perfgate`). Exit codes: 0 ok, 1 usage/connection failure,
+//! 2 wire-vs-offline prediction mismatch.
 
-use fiveg_bench::perfgate::{self, Better, Gate};
-use fiveg_bench::JsonBuf;
 use fiveg_ran::{Arch, Carrier};
 use fiveg_serve::digest::{combine_sessions, digest_replies, hex16};
 use fiveg_serve::proto::{self, Frame};
 use fiveg_serve::replay::{replay_offline, trace_frames};
 use fiveg_serve::session::SessionCounts;
 use fiveg_sim::{run_fleet_exec, FleetExec, FleetSpec, ScenarioBuilder, Trace};
-use fiveg_telemetry::Histogram;
+use fiveg_telemetry::{Histogram, JsonBuf};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -201,40 +200,24 @@ fn run_session(ep: &Endpoint, ue: u32, frames: Vec<Frame>, slo_ms: f64, rate: f6
 }
 
 struct Args {
-    pinned: bool,
     endpoint: Option<Endpoint>,
     sessions: usize,
     rate: f64,
     slo_ms: f64,
     out: String,
-    baseline: Option<String>,
-    tol: f64,
 }
 
 fn usage() -> ExitCode {
-    println!(
-        "usage: serve_load --pinned (--tcp ADDR | --uds PATH) [--sessions N] \
-         [--rate F] [--slo-ms F] [--out PATH] [--baseline PATH] [--tol F]"
-    );
+    println!("usage: serve_load (--tcp ADDR | --uds PATH) [--sessions N] [--rate F] [--slo-ms F] [--out PATH]");
     ExitCode::FAILURE
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        pinned: false,
-        endpoint: None,
-        sessions: 8,
-        rate: 0.0,
-        slo_ms: 50.0,
-        out: "BENCH_serve.json".into(),
-        baseline: None,
-        tol: 0.15,
-    };
+    let mut args = Args { endpoint: None, sessions: 8, rate: 0.0, slo_ms: 50.0, out: "BENCH_serve.json".into() };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
-            "--pinned" => args.pinned = true,
             "--tcp" => args.endpoint = Some(Endpoint::Tcp(val("--tcp")?)),
             #[cfg(unix)]
             "--uds" => args.endpoint = Some(Endpoint::Uds(val("--uds")?.into())),
@@ -242,8 +225,6 @@ fn parse_args() -> Result<Args, String> {
             "--rate" => args.rate = val("--rate")?.parse().map_err(|_| "bad --rate")?,
             "--slo-ms" => args.slo_ms = val("--slo-ms")?.parse().map_err(|_| "bad --slo-ms")?,
             "--out" => args.out = val("--out")?,
-            "--baseline" => args.baseline = Some(val("--baseline")?),
-            "--tol" => args.tol = val("--tol")?.parse().map_err(|_| "bad --tol")?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -263,8 +244,7 @@ fn write_report(args: &Args, transport: &str, outcomes: &[SessionOutcome], total
     j.uint(args.sessions as u64);
     j.key("fleet_ues");
     j.uint(u64::from(PINNED_UES));
-    // every field in `gated` must stay machine-independent and scalar:
-    // perfgate's extractors scope an anchor to the first closing brace
+    // every field in `gated` must stay machine-independent
     j.key("gated");
     j.open('{');
     j.key("sessions_completed");
@@ -338,10 +318,6 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if !args.pinned {
-        eprintln!("serve_load: only the pinned workload is supported; pass --pinned");
-        return usage();
-    }
     let Some(ep) = args.endpoint.clone() else {
         eprintln!("serve_load: no endpoint; pass --tcp or --uds");
         return usage();
@@ -435,94 +411,5 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if let Some(path) = &args.baseline {
-        let committed = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("serve_load: reading baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // refuse to gate across schema generations (see fleet_bench):
-        // rows from an older schema mean different things
-        match perfgate::schema_of(&committed) {
-            Some(s) if s == SCHEMA => {}
-            got => {
-                eprintln!(
-                    "serve_load: baseline {path} has schema {} but this binary writes {SCHEMA} — \
-                     regenerate the baseline instead of gating across schema versions",
-                    got.map_or_else(|| "(none)".into(), |s| format!("'{s}'"))
-                );
-                return ExitCode::from(3);
-            }
-        }
-        let gated = |metric: &str| perfgate::metric_after(&committed, r#""gated":"#, metric);
-        let (Some(b_sessions), Some(b_frames), Some(b_preds), Some(b_pos), Some(b_mis)) = (
-            gated("sessions_completed"),
-            gated("frames_sent"),
-            gated("predictions"),
-            gated("ho_predictions"),
-            gated("mismatches"),
-        ) else {
-            eprintln!("serve_load: baseline {path} is missing gated metrics — reformatted or wrong file?");
-            return ExitCode::FAILURE;
-        };
-        let Some(b_digest) = perfgate::str_after(&committed, r#""gated":"#, "equiv_digest") else {
-            eprintln!("serve_load: baseline {path} is missing the equivalence digest");
-            return ExitCode::FAILURE;
-        };
-        println!("  perf gate vs {} (tol {:.0}%):", path, args.tol * 100.0);
-        if let Some(b_pps) = perfgate::metric_anywhere(&committed, "predictions_per_sec") {
-            perfgate::advise("predictions_per_sec", b_pps, totals.predictions as f64 / elapsed_s.max(1e-9));
-        }
-        // every count is exact for the pinned workload, so all gates are
-        // bands — drift either way means the workload silently changed.
-        // The digest is a string gate: exact match or fail, no tolerance.
-        let gates = [
-            Gate {
-                what: "serve sessions_completed".into(),
-                baseline: b_sessions,
-                current: outcomes.len() as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve frames_sent".into(),
-                baseline: b_frames,
-                current: totals.frames_sent as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve predictions".into(),
-                baseline: b_preds,
-                current: totals.predictions as f64,
-                better: Better::Band,
-            },
-            Gate {
-                what: "serve ho_predictions".into(),
-                baseline: b_pos,
-                current: totals.positives as f64,
-                better: Better::Band,
-            },
-        ];
-        let digest_ok = b_digest == wire_digest;
-        println!(
-            "  {:<34} baseline {:>16}  current {:>16}  {}",
-            "serve equiv_digest",
-            b_digest,
-            wire_digest,
-            if digest_ok { "ok" } else { "FAIL (prediction drift)" }
-        );
-        // a mismatch count above the baseline's (0) can only mean the wire
-        // diverged, which already exited above — but gate it anyway so a
-        // nonzero committed baseline is caught the day someone commits one
-        let mis_ok = totals.mismatches as f64 <= b_mis;
-        if !mis_ok {
-            println!("  {:<34} baseline {:>16}  current {:>16}  FAIL", "serve mismatches", b_mis, totals.mismatches);
-        }
-        if !perfgate::evaluate(&gates, args.tol) || !digest_ok || !mis_ok {
-            eprintln!("serve_load: gated metrics regressed beyond tolerance");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -11,9 +11,9 @@
 #   scripts/check.sh fuzz       # oracle self-test + corpus replay + 200-case fuzz
 #   scripts/check.sh vivisect   # ho_vivisect smoke (span/counter reconciliation, 1 vs 4 threads)
 #   scripts/check.sh fleet      # fleet_bench smoke (1 thread/1 shard vs 4 x 4, fixed vs event-driven)
-#   scripts/check.sh perf       # gating perf: tick_bench + fleet_bench vs BENCH_*.json (±15%)
+#   scripts/check.sh perf       # gating perf: tick_bench + fleet_bench reports, `gate` vs BENCH_*.json (±15%)
 #   scripts/check.sh speedup    # demo sweep speedup (1 vs 4 threads, >= 2x)
-#   scripts/check.sh serve      # serve smoke: UDS server + serve_load replay vs BENCH_serve.json
+#   scripts/check.sh serve      # serve smoke: UDS server + serve_load replay, `gate` vs BENCH_serve.json
 #   scripts/check.sh doc        # cargo doc --no-deps with warnings as errors
 #
 # The workspace has no dependencies outside the repository, so every step
@@ -169,26 +169,28 @@ run_fleet() {
     echo "  deterministic fields identical across thread/shard counts and stepping modes"
 }
 
-# Gating perf job: rerun both benchmarks and compare against the committed
-# BENCH_*.json baselines with a ±15% tolerance — the binaries exit nonzero
-# on a regression. Only machine-independent metrics are gated (work counts,
-# allocs per tick, the same-run snapshot-vs-reference speedup ratio):
-# the baselines' absolute ticks/s were recorded on the development machine,
-# and shared CI runners drift more than any sane tolerance, so raw
-# throughput is printed as an advisory comparison, never a failure.
+# Gating perf job: rerun both benchmarks and compare each fresh report
+# against its committed BENCH_*.json baseline with `gate` (±15% tolerance;
+# rules per report schema in fiveg_bench::perfgate), which exits nonzero on
+# a regression and also on a report or baseline that does not parse. Only
+# machine-independent metrics are gated (work counts, allocs per tick, the
+# same-run snapshot-vs-reference speedup ratio): the baselines' absolute
+# ticks/s were recorded on the development machine, and shared CI runners
+# drift more than any sane tolerance, so raw throughput is printed as an
+# advisory comparison, never a failure.
 # tick_bench runs the full scenario set because the committed baseline is
 # full-mode (smoke's smaller scenario has different work counts); its v2
 # des section first proves each des scenario's event-driven fleet of one
 # control-plane-equal to the stepped fleet of one, then enforces the machine-independent
-# skip_ratio >= 0.5 floor outright and bands logical tick counts and
-# skip_ratio against the baseline (UE·ticks/s stays advisory);
+# skip_ratio >= 0.5 floor outright; `gate` bands logical tick counts and
+# skip_ratio against the baseline (UE·ticks/s stays advisory).
 # fleet_bench runs --smoke, whose per-size parameters match the full
 # baseline's up to the 10k-UE point (full adds only 100k), and pins
 # --threads 1 --shards 16 to match the committed baseline's geometry (a
 # multi-worker barrier pool on a 2-core runner has genuinely different
 # per-UE·tick costs, and the shard count shifts cache locality — 16
-# shards is where the 10k-UE point peaks on one thread). Baseline rows
-# are paired by their n_ues value, so a reordered
+# shards is where the 10k-UE point peaks on one thread). `gate` pairs
+# baseline rows by their n_ues value, so a reordered
 # or extended baseline can never gate against the wrong row.
 # --verify-shards adds the other machine-independent gates: the same fleet
 # run with 1 and 4 shards must produce identical FleetTraces, and the
@@ -201,12 +203,13 @@ run_fleet() {
 # BENCH_tick_ci.json / BENCH_fleet_ci.json as artifacts.
 run_perf() {
     echo "== perf gate (tick_bench + fleet_bench vs committed baselines, tol 15%)"
-    cargo build -q --release -p fiveg-bench --bin tick_bench --bin fleet_bench
-    target/release/tick_bench --out BENCH_tick_ci.json --baseline BENCH_tick.json --tol 0.15
+    cargo build -q --release -p fiveg-bench --bin tick_bench --bin fleet_bench --bin gate
+    # one command per line: `set -e` ignores a failure on the left of `&&`
+    target/release/tick_bench --out BENCH_tick_ci.json
+    target/release/gate BENCH_tick.json BENCH_tick_ci.json
     target/release/fleet_bench --smoke --threads 1 --shards 16 --verify-shards --event-driven \
-        --out BENCH_fleet_ci.json --baseline BENCH_fleet.json --tol 0.15
-    python3 -m json.tool BENCH_tick_ci.json >/dev/null
-    python3 -m json.tool BENCH_fleet_ci.json >/dev/null
+        --out BENCH_fleet_ci.json
+    target/release/gate BENCH_fleet.json BENCH_fleet_ci.json
     echo "  both reports parse; no gated metric regressed beyond tolerance"
 }
 
@@ -214,14 +217,15 @@ run_perf() {
 # Unix socket, `serve_load` replaying the pinned fleet workload against it
 # at 8-session fan-out. Every wire PROGNOSIS is compared field-by-field
 # against an offline Prognos replay of the same frames (serve_load exits 2
-# on any divergence), and the machine-independent report fields — session
-# and frame counts, prediction counts, the FNV-1a-64 equivalence digest —
-# gate against the committed BENCH_serve.json. Latency percentiles and
+# on any divergence), and `gate` compares the machine-independent report
+# fields — session and frame counts, prediction counts, the FNV-1a-64
+# equivalence digest — against the committed BENCH_serve.json, failing
+# also on a report that does not parse. Latency percentiles and
 # predictions/s are advisory only: the baseline's wall clock came from a
 # different machine. CI uploads BENCH_serve_ci.json as an artifact.
 run_serve() {
     echo "== serve gate (UDS server + serve_load replay vs committed baseline, tol 15%)"
-    cargo build -q --release -p fiveg-serve --bin serve --bin serve_load
+    cargo build -q --release -p fiveg-serve --bin serve --bin serve_load -p fiveg-bench --bin gate
     local dir srv
     dir="$(mktemp -d)"
     target/release/serve --uds "$dir/serve.sock" --workers 2 --duration-s 300 \
@@ -235,11 +239,10 @@ run_serve() {
         [ "$i" -lt 100 ] || { echo "serve did not create its socket" >&2; cat "$dir/serve.log" >&2; return 1; }
         sleep 0.1
     done
-    target/release/serve_load --pinned --uds "$dir/serve.sock" --sessions 8 \
-        --out BENCH_serve_ci.json --baseline BENCH_serve.json --tol 0.15
+    target/release/serve_load --uds "$dir/serve.sock" --sessions 8 --out BENCH_serve_ci.json
     kill "$srv" 2>/dev/null || true
     wait "$srv" 2>/dev/null || true
-    python3 -m json.tool BENCH_serve_ci.json >/dev/null
+    target/release/gate BENCH_serve.json BENCH_serve_ci.json
     echo "  wire predictions match offline Prognos; no gated metric regressed"
 }
 
